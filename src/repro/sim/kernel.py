@@ -33,20 +33,11 @@ cursor enters their span.  Each entry still carries its ``(time, seq)``
 pair; a slot is sorted on dispatch (slots are tiny), so the observable
 execution order is **identical** to a single global ``(time, seq)``
 priority queue — the golden trace in ``tests/test_sim_kernel.py`` locks
-this in byte-for-byte.  Two further allocation-rate optimisations ride
-on the wheel:
-
-* **batched scheduling** (:meth:`Simulator.schedule_many`,
-  :meth:`Simulator.schedule_each`): a batch of N deadlines is staged as
-  one record and only expanded into wheel entries when the cursor
-  approaches its earliest deadline; entries cancelled before expansion
-  never materialise at all;
-* **free-list pooling**: :class:`Timer` handles whose callers no longer
-  hold a reference (checked via the CPython refcount) are recycled at
-  dispatch, cascade, expansion and compaction time instead of being
-  garbage; cancellation tombstones past a threshold trigger a
-  compaction sweep so cancel-heavy workloads (lease renewal keepers)
-  keep the pending set bounded.
+this in byte-for-byte.  Cancellation leaves a tombstone in place;
+tombstones past a threshold trigger a compaction sweep, so cancel-heavy
+workloads (lease renewal keepers) keep the pending set bounded.
+:meth:`Simulator.schedule_many` and :meth:`Simulator.schedule_each` are
+conveniences equivalent to a loop of single schedules.
 
 The canonical order is a *choice* among many legal ones: two events due
 at the same instant have no causal order.  Installing a
@@ -73,12 +64,6 @@ import heapq
 import random
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-try:  # CPython: refcount probe gates Timer recycling
-    from sys import getrefcount
-except ImportError:  # pragma: no cover - non-refcounted runtimes: no pooling
-    def getrefcount(obj: Any) -> int:  # type: ignore[misc]
-        return 1 << 30
 
 __all__ = [
     "SimulationError",
@@ -110,12 +95,8 @@ _L2_MASK = _L2_SLOTS - 1
 _L2_SHIFT = _L0_BITS + _L1_BITS
 _WHEEL_SPAN = 1 << (_L0_BITS + _L1_BITS + _L2_BITS)  # ≈ 4.66 h
 
-#: recycled Timer handles kept per simulator (beyond this they are
-#: simply garbage-collected; the cap bounds worst-case retained memory)
-_TIMER_POOL_CAP = 8192
-
 #: compaction trigger: at least this many tombstones, *and* tombstones
-#: outnumbering live entries (see Simulator._note_cancel)
+#: outnumbering live entries (see Timer.cancel)
 _COMPACT_MIN_TOMBSTONES = 512
 
 
@@ -301,9 +282,10 @@ class Timer:
     """Handle for a scheduled callback; supports cancellation.
 
     Wheel-resident timers carry a back-reference to their simulator so
-    cancellation can maintain the tombstone count that drives compaction
-    (see :meth:`Simulator._note_cancel`); ready-lane (zero-delay) timers
-    drain within the current instant and are not tracked.
+    cancellation can maintain the tombstone count that drives compaction;
+    the kernel clears it once the timer leaves the wheel.  Ready-lane
+    (zero-delay) timers drain within the current instant and are not
+    tracked.
     """
 
     __slots__ = ("_cancelled", "when", "_sim")
@@ -319,8 +301,11 @@ class Timer:
             self._cancelled = True
             sim = self._sim
             if sim is not None:
-                # Inlined Simulator._note_cancel (hot: every wheel-resident
-                # cancellation lands here).
+                # Still on the wheel: count the tombstone.  Once tombstones
+                # both exceed a floor and outnumber live entries, compaction
+                # sweeps them out, so the pending set stays bounded by ~2x
+                # the live timer count even under cancel/renew churn (the
+                # renewal-keeper pattern).
                 sim._cancelled_pending = pending = sim._cancelled_pending + 1
                 if (pending >= _COMPACT_MIN_TOMBSTONES
                         and pending * 2 > sim._timer_count):
@@ -427,17 +412,11 @@ class Simulator:
         self._l2: List[list] = [[] for _ in range(_L2_SLOTS)]
         self._overflow: List = []          # heap, deadlines beyond the wheel
         self._cur = 0
-        #: lazily expanded batches from schedule_many/schedule_each:
-        #: a heap of records keyed by the batch's earliest integer
-        #: deadline (see _expand for the record layout)
-        self._staged: List = []
-        self._batch_seq = 0
-        #: pending wheel entries (wheel + staged + overflow), including
+        #: pending wheel entries (wheel + overflow), including
         #: not-yet-collected tombstones
         self._timer_count = 0
         #: cancelled-but-still-resident entries; drives compaction
         self._cancelled_pending = 0
-        self._timer_pool: List[Timer] = []
         self._sequence = 0
         self.rng = random.Random(seed)
         self.seed = seed
@@ -465,8 +444,10 @@ class Simulator:
 
     @property
     def timer_depth(self) -> int:
-        """Pending timer-lane entries (wheel + staged batches + overflow),
-        including cancellation tombstones not yet collected.  The ready
+        """Pending timer-lane entries (wheel + overflow), including
+        cancellation tombstones not yet collected.  A timer leaves the
+        count when it is dispatched or its tombstone is swept, so
+        cancelling a handle after it fired changes nothing.  The ready
         lane is not included (see ``len(sim._ready)``)."""
         return self._timer_count
 
@@ -486,32 +467,9 @@ class Simulator:
             timer = Timer(when)
             self._ready.append((timer, fn, args))
             return timer
-        pool = self._timer_pool
-        if pool:
-            timer = pool.pop()
-            timer.when = when
-            timer._cancelled = False
-            timer._sim = self
-        else:
-            timer = Timer(when, self)
+        timer = Timer(when, self)
         self._sequence = seq = self._sequence + 1
-        # Inlined _insert (hot path).
-        entry = (when, seq, timer, fn, args)
-        t = int(when)
-        cur = self._cur
-        if t < cur:
-            t = cur
-        if (t | _L0_MASK) == (cur | _L0_MASK):
-            self._l0[t & _L0_MASK].append(entry)
-        else:
-            d = t - cur
-            if d < _L1_SPAN:
-                self._l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-            elif d < _WHEEL_SPAN:
-                self._l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-            else:
-                heapq.heappush(self._overflow, entry)
-        self._timer_count += 1
+        self._insert((when, seq, timer, fn, args))
         return timer
 
     def call_soon(self, fn: Callable, *args: Any) -> None:
@@ -535,82 +493,34 @@ class Simulator:
         if delay == 0:
             self._ready.append((None, fn, args))
             return
-        when = self._now + delay
         self._sequence = seq = self._sequence + 1
-        # Inlined _insert (hot path: every network delivery).
-        entry = (when, seq, None, fn, args)
-        t = int(when)
-        cur = self._cur
-        if t < cur:
-            t = cur
-        if (t | _L0_MASK) == (cur | _L0_MASK):
-            self._l0[t & _L0_MASK].append(entry)
-        else:
-            d = t - cur
-            if d < _L1_SPAN:
-                self._l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-            elif d < _WHEEL_SPAN:
-                self._l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-            else:
-                heapq.heappush(self._overflow, entry)
-        self._timer_count += 1
+        self._insert((self._now + delay, seq, None, fn, args))
 
     def schedule_many(
         self, delays: Sequence[float], fn: Callable, *args: Any,
         handles: bool = True,
     ) -> Optional[List[Timer]]:
-        """Schedule ``fn(*args)`` once per delay in *delays*; one staged
-        batch instead of N individual wheel insertions.
+        """Schedule ``fn(*args)`` once per delay in *delays*.
 
-        Sequence numbers are assigned in list order, so the observable
-        execution order is identical to calling :meth:`schedule` (or,
-        with ``handles=False``, :meth:`call_later`) once per delay.  The
-        batch is expanded into wheel entries only when the run loop's
-        cursor approaches its earliest deadline; with ``handles=True``
-        the returned :class:`Timer` list allows cancellation, and timers
-        cancelled before expansion never materialise as wheel entries at
-        all (drop the returned list once it is no longer needed — the
-        kernel recycles unreferenced timers).
-
-        All delays must be positive: batch members land on the wheel,
-        never on the ready lane.
+        Equivalent to calling :meth:`schedule` (or, with
+        ``handles=False``, :meth:`call_later`) once per delay in list
+        order, so sequence numbers — and with them execution order — are
+        assigned in list order.  Returns the :class:`Timer` list, or
+        ``None`` with ``handles=False``.  All delays must be positive:
+        batch members land on the wheel, never on the ready lane.
         """
         if not delays:
             return [] if handles else None
-        now = self._now
-        n = len(delays)
         lo = min(delays)
         if lo <= 0:
             raise SimulationError(
                 f"schedule_many requires positive delays (got {lo})"
             )
-        seq0 = self._sequence + 1
-        self._sequence += n
-        timers: Optional[List[Timer]] = None
         if handles:
-            pool = self._timer_pool
-            if pool:
-                timers = []
-                append = timers.append
-                for d in delays:
-                    if pool:
-                        t = pool.pop()
-                        t.when = now + d
-                        t._cancelled = False
-                        t._sim = self
-                    else:
-                        t = Timer(now + d, self)
-                    append(t)
-            else:
-                timers = [Timer(now + d, self) for d in delays]
-        self._batch_seq += 1
-        heapq.heappush(
-            self._staged,
-            [int(now + lo), self._batch_seq, 0, list(delays), timers,
-             fn, args, now, seq0],
-        )
-        self._timer_count += n
-        return timers
+            return [self.schedule(d, fn, *args) for d in delays]
+        for d in delays:
+            self.call_later(d, fn, *args)
+        return None
 
     def schedule_each(
         self, delays: Sequence[float], fn: Callable, items: Sequence[Any],
@@ -618,31 +528,21 @@ class Simulator:
         """Batch variant of :meth:`call_later` with one argument per entry:
         ``fn(items[i])`` runs after ``delays[i]`` ms.
 
-        Like :meth:`schedule_many` this stages one record and assigns
-        sequence numbers in list order, so execution order matches a loop
-        of ``call_later(delays[i], fn, items[i])`` exactly — the batched
-        network delivery path relies on that equivalence.  No handles are
-        returned; all delays must be positive.
+        Equivalent to a loop of ``call_later(delays[i], fn, items[i])``
+        in list order.  No handles are returned; all delays must be
+        positive.
         """
         if len(delays) != len(items):
             raise SimulationError("schedule_each requires len(delays) == len(items)")
         if not delays:
             return
-        now = self._now
         lo = min(delays)
         if lo <= 0:
             raise SimulationError(
                 f"schedule_each requires positive delays (got {lo})"
             )
-        seq0 = self._sequence + 1
-        self._sequence += len(delays)
-        self._batch_seq += 1
-        heapq.heappush(
-            self._staged,
-            [int(now + lo), self._batch_seq, 2, list(delays), list(items),
-             fn, None, now, seq0],
-        )
-        self._timer_count += len(delays)
+        for d, item in zip(delays, items):
+            self.call_later(d, fn, item)
 
     def sleep(self, delay: float) -> Future:
         """Return a future that resolves after *delay* milliseconds."""
@@ -687,123 +587,14 @@ class Simulator:
                 heapq.heappush(self._overflow, entry)
         self._timer_count += 1
 
-    def _note_cancel(self) -> None:
-        """Tombstone bookkeeping for a wheel-resident timer cancellation.
-
-        When tombstones both exceed a floor and outnumber live entries,
-        compaction sweeps them out, so the pending set stays bounded by
-        ~2x the live timer count even under adversarial cancel/renew
-        churn (the renewal-keeper pattern)."""
-        self._cancelled_pending = pending = self._cancelled_pending + 1
-        if pending >= _COMPACT_MIN_TOMBSTONES and pending * 2 > self._timer_count:
-            self._compact()
-
-    def _reclaim(self, timer: Timer) -> None:
-        """Recycle *timer* if nothing outside the kernel references it.
-
-        Call with exactly two internal references live (the entry tuple
-        or batch list, and the caller's local); with this method's
-        parameter binding and ``getrefcount``'s own argument that reads
-        4, proving no user code holds the handle."""
-        if getrefcount(timer) == 4 and len(self._timer_pool) < _TIMER_POOL_CAP:
-            timer._sim = None
-            self._timer_pool.append(timer)
-
-    def _expand(self, horizon: Optional[int]) -> None:
-        """Materialise staged batches whose earliest deadline is within
-        *horizon* (inclusive; ``None`` = all) into wheel entries.
-
-        Entries cancelled while staged are dropped here without ever
-        touching a wheel slot — the cheap path that makes
-        retransmission-style schedule-then-cancel nearly free."""
-        staged = self._staged
-        l0, l1, l2 = self._l0, self._l1, self._l2
-        pool = self._timer_pool
-        cur = self._cur
-        win = cur | _L0_MASK
-        dead = 0
-        while staged and (horizon is None or staged[0][0] <= horizon):
-            rec = heapq.heappop(staged)
-            kind, delays, objs = rec[2], rec[3], rec[4]
-            fn, args, now0, seq = rec[5], rec[6], rec[7], rec[8]
-            if kind == 2:
-                for i, d in enumerate(delays):
-                    when = now0 + d
-                    entry = (when, seq + i, None, fn, (objs[i],))
-                    t = int(when)
-                    if t < cur:
-                        t = cur
-                    if (t | _L0_MASK) == win:
-                        l0[t & _L0_MASK].append(entry)
-                    else:
-                        d2 = t - cur
-                        if d2 < _L1_SPAN:
-                            l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-                        elif d2 < _WHEEL_SPAN:
-                            l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-                        else:
-                            heapq.heappush(self._overflow, entry)
-            elif objs is None:
-                for i, d in enumerate(delays):
-                    when = now0 + d
-                    entry = (when, seq + i, None, fn, args)
-                    t = int(when)
-                    if t < cur:
-                        t = cur
-                    if (t | _L0_MASK) == win:
-                        l0[t & _L0_MASK].append(entry)
-                    else:
-                        d2 = t - cur
-                        if d2 < _L1_SPAN:
-                            l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-                        elif d2 < _WHEEL_SPAN:
-                            l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-                        else:
-                            heapq.heappush(self._overflow, entry)
-            else:
-                # Handle-carrying batch: tombstones are dropped here, never
-                # touching a wheel slot.  ``objs[i]`` indexing (not ``zip``)
-                # keeps the timer's refcount exactly 3 at the probe — the
-                # batch list, the local, and getrefcount's argument; zip's
-                # cached result tuple would add a fourth, version-fragile
-                # reference.
-                for i, d in enumerate(delays):
-                    timer = objs[i]
-                    if timer._cancelled:
-                        dead += 1
-                        if (getrefcount(timer) == 3
-                                and len(pool) < _TIMER_POOL_CAP):
-                            timer._sim = None
-                            pool.append(timer)
-                        continue
-                    when = now0 + d
-                    entry = (when, seq + i, timer, fn, args)
-                    t = int(when)
-                    if t < cur:
-                        t = cur
-                    if (t | _L0_MASK) == win:
-                        l0[t & _L0_MASK].append(entry)
-                    else:
-                        d2 = t - cur
-                        if d2 < _L1_SPAN:
-                            l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-                        elif d2 < _WHEEL_SPAN:
-                            l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-                        else:
-                            heapq.heappush(self._overflow, entry)
-        if dead:
-            self._cancelled_pending -= dead
-            self._timer_count -= dead
-
     def _scatter(self, batch: List[tuple]) -> None:
         """Re-distribute cascaded entries relative to the current cursor,
-        dropping (and recycling) cancellation tombstones."""
+        dropping cancellation tombstones."""
         for entry in batch:
             timer = entry[2]
             if timer is not None and timer._cancelled:
                 self._cancelled_pending -= 1
                 self._timer_count -= 1
-                self._reclaim(timer)
                 continue
             self._timer_count -= 1  # _insert re-counts it
             self._insert(entry)
@@ -833,9 +624,6 @@ class Simulator:
                 # coarser levels.
                 return True
         best: Optional[int] = None
-        staged = self._staged
-        if staged:
-            best = staged[0][0]
         base1 = cur & ~(_L1_SPAN - 1)
         l1 = self._l1
         for j in range(_L1_SLOTS):
@@ -877,15 +665,9 @@ class Simulator:
         return True
 
     def _compact(self) -> None:
-        """Sweep cancellation tombstones out of every wheel level.
-
-        Staged batches are expanded first (their tombstones are dropped
-        during expansion), then each slot and the overflow heap are
-        filtered in place; unreferenced Timer handles go back to the
-        free list."""
-        self._expand(None)
+        """Sweep cancellation tombstones out of every wheel level: each
+        slot and the overflow heap are filtered in place."""
         dropped = 0
-        pool = self._timer_pool
         for level in (self._l0, self._l1, self._l2):
             for idx in range(len(level)):
                 slot = level[idx]
@@ -897,12 +679,6 @@ class Simulator:
                     timer = entry[2]
                     if timer is not None and timer._cancelled:
                         dropped += 1
-                        # Inlined _reclaim: the slot's entry tuple, the
-                        # local, and getrefcount's argument make 3.
-                        if (getrefcount(timer) == 3
-                                and len(pool) < _TIMER_POOL_CAP):
-                            timer._sim = None
-                            pool.append(timer)
                     else:
                         ka(entry)
                 if len(keep) != len(slot):
@@ -913,7 +689,6 @@ class Simulator:
                 timer = entry[2]
                 if timer is not None and timer._cancelled:
                     dropped += 1
-                    self._reclaim(timer)
                 else:
                     keep.append(entry)
             heapq.heapify(keep)
@@ -924,11 +699,10 @@ class Simulator:
     def iter_pending(self) -> Iterator[Tuple[Optional[Timer], Callable, tuple]]:
         """Iterate live pending callbacks as ``(timer, fn, args)`` triples.
 
-        Covers both lanes — the ready deque, every wheel level, the
-        overflow heap, and not-yet-expanded staged batches — in no
-        particular order.  Cancelled entries are skipped.  Introspection
-        only (liveness oracles, debugging); mutating the kernel while
-        iterating is undefined.
+        Covers both lanes — the ready deque, every wheel level, and the
+        overflow heap — in no particular order.  Cancelled entries are
+        skipped.  Introspection only (liveness oracles, debugging);
+        mutating the kernel while iterating is undefined.
         """
         for timer, fn, args in self._ready:
             if timer is not None and timer._cancelled:
@@ -946,19 +720,6 @@ class Simulator:
             if timer is not None and timer._cancelled:
                 continue
             yield (timer, entry[3], entry[4])
-        for rec in self._staged:
-            kind, delays, objs, fn, args = rec[2], rec[3], rec[4], rec[5], rec[6]
-            if kind == 2:
-                for item in objs:
-                    yield (None, fn, (item,))
-            elif objs is None:
-                for _ in delays:
-                    yield (None, fn, args)
-            else:
-                for timer in objs:
-                    if timer._cancelled:
-                        continue
-                    yield (timer, fn, args)
 
     # -- execution --------------------------------------------------------
 
@@ -983,8 +744,6 @@ class Simulator:
         processed = 0
         ready = self._ready
         l0 = self._l0
-        staged = self._staged
-        pool = self._timer_pool
         counted = max_events is not None
         try:
             while True:
@@ -1013,8 +772,6 @@ class Simulator:
                     break
                 cur = self._cur
                 base = cur & ~_L0_MASK
-                if staged and staged[0][0] <= base | _L0_MASK:
-                    self._expand(base | _L0_MASK)
                 s = cur - base
                 while s < _L0_SLOTS and not l0[s]:
                     s += 1
@@ -1034,12 +791,11 @@ class Simulator:
                 # Dispatch the whole slot inline.  Between entries only a
                 # cheap emptiness probe is needed: work scheduled *during*
                 # an entry's execution can only precede the slot's
-                # remaining entries by landing on the ready deque, in this
-                # very slot (inserts below the cursor clamp here), or as a
-                # staged batch due in it — anything later can wait.  When
-                # the probe fires, the unexecuted suffix is pushed back and
-                # the outer loop re-sorts, exactly reproducing the global
-                # ``(time, seq)`` merge.
+                # remaining entries by landing on the ready deque or in this
+                # very slot (inserts below the cursor clamp here) — anything
+                # later can wait.  When the probe fires, the unexecuted
+                # suffix is pushed back and the outer loop re-sorts, exactly
+                # reproducing the global ``(time, seq)`` merge.
                 l0[s] = []
                 self._timer_count -= n
                 # ``until`` can only cut inside this slot if it lies before
@@ -1068,10 +824,6 @@ class Simulator:
                     i += 1
                     if timer is not None and timer._cancelled:
                         self._cancelled_pending -= 1
-                        if (getrefcount(timer) == 3
-                                and len(pool) < _TIMER_POOL_CAP):
-                            timer._sim = None
-                            pool.append(timer)
                         continue
                     if i < n and slot[i][0] == when:
                         # Same-instant group: move the rest of the instant
@@ -1095,12 +847,10 @@ class Simulator:
                     processed += 1
                     entry[3](*entry[4])
                     if timer is not None:
+                        # off the wheel: a later cancel must not count a
+                        # tombstone
                         timer._sim = None
-                        if (not timer._cancelled
-                                and getrefcount(timer) == 3
-                                and len(pool) < _TIMER_POOL_CAP):
-                            pool.append(timer)
-                    if ready or l0[s] or (staged and staged[0][0] <= s_abs):
+                    if ready or l0[s]:
                         if i < n:
                             rest = slot[i:]
                             self._timer_count += n - i
@@ -1119,11 +869,8 @@ class Simulator:
         group of live timer entries as ``(when, [(timer, fn, args), ...])``.
 
         Returns ``None`` when the timer lane is empty and ``"until"``
-        when the next live instant lies beyond *until*.  Staged batches
-        are expanded up front so the controller sees every same-instant
-        wheel entry in its slot.
+        when the next live instant lies beyond *until*.
         """
-        self._expand(None)
         l0 = self._l0
         while True:
             cur = self._cur
@@ -1144,7 +891,6 @@ class Simulator:
                 if timer is not None and timer._cancelled:
                     self._cancelled_pending -= 1
                     dropped += 1
-                    self._reclaim(timer)
                 else:
                     live.append(entry)
             self._timer_count -= dropped

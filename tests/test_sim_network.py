@@ -339,6 +339,41 @@ class TestMessage:
         m = Message(src="a", dst="b", kind="k", span_id=42)
         assert m.duplicate().span_id == 42
 
+    def test_receiver_held_message_keeps_payload(self, sim):
+        """A delivered message a receiver keeps is never reused: later
+        traffic leaves its identity and payload intact."""
+
+        class Keeper(Node):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.held = []
+
+            def on_keep(self, msg):
+                self.held.append(msg)
+
+        net = Network(sim, ConstantDelay(1.0))
+        a = Recorder(sim, net, "a")
+        k = Keeper(sim, net, "k")
+        a.send("k", "keep", {"n": 42})
+        sim.run()
+        a.send("k", "keep", {"n": 43})
+        sim.run()
+        first, second = k.held
+        assert first is not second
+        assert first.payload == {"n": 42}
+        assert second.payload == {"n": 43}
+        assert first.msg_id < second.msg_id
+
+    def test_rpc_reply_value_survives_delivery(self, sim):
+        net, a, b = make_pair(sim, ConstantDelay(1.0))
+        fut = a.call("b", "ping", {"n": 7}, timeout=100.0)
+        sim.run()
+        reply = fut.value
+        a.call("b", "ping", {"n": 8}, timeout=100.0)
+        sim.run()
+        assert reply["n"] == 7
+        assert reply.reply_to is not None
+
 
 class TestNetworkStats:
     def test_copy_is_independent(self, sim):

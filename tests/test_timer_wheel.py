@@ -1,6 +1,6 @@
 """Hierarchical timing-wheel satellites: batch scheduling equivalence,
-tombstone compaction bounds, Timer pooling safety, same-instant merge
-order on wheel-resident timers, and mid-slot ``until`` semantics.
+tombstone compaction bounds, same-instant merge order on wheel-resident
+timers, and mid-slot ``until`` semantics.
 
 The golden-trace byte-identity tests in ``test_sim_kernel.py`` and
 ``test_mc_kernel.py`` pin the canonical order itself; this module pins
@@ -15,7 +15,6 @@ from repro.sim.kernel import (
     ScheduleController,
     SimulationError,
     Simulator,
-    Timer,
 )
 
 
@@ -28,7 +27,7 @@ def _fire_log(sim, log, tag):
 
 class TestBatchScheduling:
     def test_schedule_many_matches_schedule_loop(self):
-        """A staged batch fires identically to N individual schedules,
+        """A batch fires identically to N individual schedules,
         including interleaved cancellation of half the handles."""
         rng = random.Random(5)
         delays = [rng.uniform(0.5, 5000.0) for _ in range(300)]
@@ -113,15 +112,15 @@ class TestBatchScheduling:
         sim.schedule_each([], lambda x: None, [])
         assert sim.timer_depth == 0
 
-    def test_cancel_before_expansion_never_materialises(self):
-        """Timers cancelled while their batch is still staged are dropped
-        at expansion without ever occupying a wheel slot."""
+    def test_cancelled_batch_handles_never_fire(self):
+        """Cancelling every handle a batch returned leaves tombstones
+        that never fire and are all collected by the run."""
         sim = Simulator(seed=0)
         log = []
         timers = sim.schedule_many([50.0] * 10, log.append, "t")
         for t in timers:
             t.cancel()
-        assert sim.timer_depth == 10  # still staged, tombstones included
+        assert sim.timer_depth == 10  # tombstones until swept
         sim.run()
         assert log == []
         assert sim.timer_depth == 0
@@ -155,6 +154,30 @@ class TestTombstoneCompaction:
         assert max_depth <= bound, f"pending set grew to {max_depth} > {bound}"
         assert sim.timer_depth <= bound
 
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_cancel_after_fire_leaves_no_tombstones(self, controlled):
+        """Cancelling caller-held handles after they fired is a no-op for
+        the kernel: no tombstone is counted and the pending count stays
+        0, on every route a timer leaves the wheel (lone dispatch, a
+        same-instant group moved to the ready lane, cascade from L1/L2,
+        the overflow heap, the controlled loop) — and enough late cancels
+        to pass the compaction floor trigger no sweep."""
+        sim = Simulator(seed=0)
+        if controlled:
+            sim.controller = ScheduleController()
+        log = []
+        delays = [3.0, 5.0, 5.0, 5.0, 1500.0, 400_000.0, 20_000_000.0]
+        delays += [7.0 + i * 0.25 for i in range(600)]
+        handles = [sim.schedule(d, log.append, d) for d in delays]
+        sim.run()
+        assert len(log) == len(delays)
+        assert sim.timer_depth == 0
+        for t in handles:
+            t.cancel()
+            assert t.cancelled
+        assert sim.timer_depth == 0
+        assert sim._cancelled_pending == 0
+
     def test_compaction_preserves_live_timers(self):
         """A compaction sweep triggered by mass cancellation must not
         disturb live timers anywhere on the wheel."""
@@ -170,48 +193,6 @@ class TestTombstoneCompaction:
         sim.run()
         assert len(log) == len(live)
         assert [t for t, _ in log] == sorted(round(d, 6) for d, _ in live)
-
-
-# -- Timer pooling -------------------------------------------------------------
-
-
-class TestTimerPooling:
-    def test_dropped_handles_are_recycled(self):
-        """Handles the caller no longer references return to the free
-        list after firing and are reused by later schedules."""
-        sim = Simulator(seed=0)
-        sim.schedule(1.0, lambda: None)  # handle dropped immediately
-        sim.run()
-        assert len(sim._timer_pool) == 1
-        recycled = sim._timer_pool[0]
-        t2 = sim.schedule(2.0, lambda: None)
-        assert t2 is recycled
-        assert not t2.cancelled
-        assert t2.when == pytest.approx(3.0)
-
-    def test_held_handles_are_never_recycled(self):
-        """A handle the caller still references must not enter the pool
-        (recycling it would let a later schedule mutate it)."""
-        sim = Simulator(seed=0)
-        held = sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert held not in sim._timer_pool
-        assert sim._timer_pool == []
-
-    def test_cancelled_then_rescheduled_pool_reuse_is_fresh(self):
-        """A recycled Timer behaves like a new one: cancellation state
-        and deadline are reset."""
-        sim = Simulator(seed=0)
-        t = sim.schedule(1.0, lambda: None)
-        t.cancel()
-        del t
-        sim.run(until=2.0)  # dispatch purges the tombstone into the pool
-        assert len(sim._timer_pool) == 1
-        log = []
-        t2 = sim.schedule(1.0, log.append, "fresh")
-        assert not t2.cancelled
-        sim.run()
-        assert log == ["fresh"]
 
 
 # -- same-instant merge order on wheel-resident timers -------------------------
@@ -236,7 +217,7 @@ class _Reverser(ScheduleController):
 class TestControlledWheel:
     def _populate(self, sim, log):
         # Three wheel-resident timers due at the same instant (one from a
-        # staged batch), plus one a millisecond later.
+        # batch), plus one a millisecond later.
         sim.schedule(5.0, log.append, "a")
         sim.schedule_many([5.0], log.append, "b")
         sim.schedule(5.0, log.append, "c")
@@ -336,12 +317,12 @@ class TestWheelInternals:
         sim.schedule(5_000.0, lambda: None)              # L1
         sim.schedule(500_000.0, lambda: None)            # L2
         sim.schedule(30_000_000.0, lambda: None)         # overflow
-        sim.schedule_many([42.0, 43.0], lambda: None)    # staged
+        sim.schedule_many([42.0, 43.0], lambda: None)    # batch
         assert sim.timer_depth == 6
         sim.run()
         assert sim.timer_depth == 0
 
-    def test_iter_pending_covers_staged_and_wheel(self):
+    def test_iter_pending_covers_batches_and_wheel(self):
         sim = Simulator(seed=0)
         fn = lambda: None  # noqa: E731
         sim.schedule(5.0, fn)
@@ -359,13 +340,3 @@ class TestWheelInternals:
         sim.call_soon(lambda: None)
         sim.run()
         assert sim.events_processed == 4
-
-    def test_pool_respects_non_cpython_fallback_shape(self):
-        """The pooling gate is a pure optimisation: a Timer is only ever
-        recycled when provably unreferenced, so constructing Timers
-        directly (as tests and tools do) stays safe."""
-        t = Timer(5.0)
-        assert t._sim is None
-        assert not t.cancelled
-        t.cancel()  # no simulator attached: cancellation is local
-        assert t.cancelled
